@@ -18,7 +18,7 @@ import numpy as np
 from . import lp
 from .linalg import (DEFAULT_TOLS, Tolerances, as_matrix, as_vector,
                      column_space_basis, intersect_null_spaces,
-                     null_space_basis)
+                     null_space_basis, rank)
 from .signs import SignPoset, SignVector, leq, poset_cover_edges, sign_of
 
 ENUMERATION_CAP = 12  # 3^12 sign candidates is where desk-scale stops
@@ -83,46 +83,34 @@ class FeasibilityVerdict:
     certificate: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _sign_lp(d: Dictionary, s: SignVector, c: np.ndarray) -> lp.LinearProgram:
-    Ds = d.Dstar
-    rows_le = []
-    rhs_le = []
-    for i, e in enumerate(s):
-        if e == 1:
-            rows_le.append(-Ds[i])
-            rhs_le.append(-1.0)
-        elif e == -1:
-            rows_le.append(Ds[i])
-            rhs_le.append(-1.0)
-    J = list(s.cosupport)
-    A_eq = Ds[J] if J else np.zeros((0, d.n))
-    b_eq = np.zeros(len(J))
-    A_le = np.vstack(rows_le) if rows_le else np.zeros((0, d.n))
-    b_le = np.array(rhs_le)
-    return lp.LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+def _sign_lp(rows: np.ndarray, entries: np.ndarray) -> lp.LinearProgram:
+    """Feasibility LP of sign(rows @ x) = entries.
+
+    Rows on the cosupport become equalities `row @ x = 0`; a row with sign
+    e = +-1 becomes `-e row @ x <= -1`, a unit margin that makes thresholding
+    any solution safe.
+    """
+    supp = entries != 0
+    m = int(supp.sum())
+    return lp.LinearProgram(c=np.zeros(rows.shape[1]), A_eq=rows[~supp],
+                            b_eq=np.zeros(rows.shape[0] - m),
+                            A_le=-entries[supp, None] * rows[supp],
+                            b_le=-np.ones(m))
 
 
-def is_feasible(d: Dictionary, s: SignVector, c=None,
+def is_feasible(d: Dictionary, s: SignVector,
                 tol: Tolerances | None = None) -> FeasibilityVerdict:
     """Decide whether some x has sign(D' x) = s, by one LP.
 
     The LP fixes D' x = 0 on the cosupport and pushes the supported entries
-    past unit margins, so any solution realizes s exactly.  `c` is an optional
-    objective over x used to steer which witness comes back; the default 0
-    turns the solve into a pure feasibility run.
+    past unit margins, so any solution realizes s exactly.
     """
     t = tol or d.tol
     if len(s) != d.p:
         raise ValueError("sign length disagrees with the dictionary")
-    cvec = np.zeros(d.n) if c is None else as_vector(c, "c")
-    if cvec.size != d.n:
-        raise ValueError("objective length disagrees with the dictionary")
-    out = lp.solve(_sign_lp(d, s, cvec), t)
+    out = lp.solve(_sign_lp(d.Dstar, s.as_array()), t)
     if out.status == lp.INFEASIBLE:
         return FeasibilityVerdict(False, certificate=(out.farkas_eq, out.farkas_le))
-    if out.status == lp.UNBOUNDED:
-        # still feasible; fetch a witness with the neutral objective
-        out = lp.solve(_sign_lp(d, s, np.zeros(d.n)), t)
     witness = out.x_opt
     if sign_of(d.Dstar @ witness, t.sign_tol) != s:
         raise RuntimeError("LP witness fails to realize its sign; this is a bug")
@@ -134,27 +122,63 @@ def enumerate_feasible_signs(d: Dictionary, cap: int = ENUMERATION_CAP,
                              with_witnesses: bool = False):
     """All feasible sign vectors of D', lexicographically sorted.
 
-    Walks the 3^p candidates, using s feasible <=> -s feasible to halve the
-    LP count.  With `with_witnesses` a dict mapping each sign to a realizing
-    point is returned instead of the plain list.
+    Grows the feasible sign prefixes over rows 0..k-1 of D' one row at a
+    time, each prefix carrying a witness x that realizes it.  Extending a
+    prefix by row k has at most three children:
+
+    - the sign of (D' x)_k is realized by the parent's witness, so that
+      child costs no LP;
+    - each of the other two costs one LP over rows 0..k;
+    - when row k lies in the span of the prefix's cosupport rows, every
+      point of the prefix's flat has (D' x)_k = 0, so only the 0 child
+      exists.  That is a rank test, cached per cosupport.
+
+    An infeasible prefix is never extended, since adding rows only adds
+    constraints.  Only prefixes whose first nonzero entry is + are walked;
+    s feasible <=> -s feasible supplies the rest.  Every feasible prefix
+    extends to a feasible sign, so the LP count is at most twice the number
+    of feasible prefixes summed over the rows, and scales with the output
+    rather than with the 3^p candidates.  With `with_witnesses` a dict
+    mapping each sign to a realizing point is returned instead of the plain
+    list.
     """
+    t = tol or d.tol
     if d.p > cap:
         raise ValueError(f"p={d.p} exceeds the enumeration cap {cap}")
-    decided: dict[SignVector, np.ndarray | None] = {}
-    for entries in itertools.product((-1, 0, 1), repeat=d.p):
-        s = SignVector(entries)
-        if s in decided or -s in decided:
-            continue
-        verdict = is_feasible(d, s, tol=tol)
-        if verdict.feasible:
-            decided[s] = verdict.witness
-            if -s != s:
-                decided[-s] = -verdict.witness
-        else:
-            decided[s] = None
-            if -s != s:
-                decided[-s] = None
-    feasible = {s: w for s, w in decided.items() if w is not None}
+    Ds = d.Dstar
+    ranks: dict[tuple[int, ...], int] = {}
+
+    def cosupport_rank(J: tuple[int, ...]) -> int:
+        if J not in ranks:
+            ranks[J] = rank(Ds[list(J)], t)
+        return ranks[J]
+
+    # (entries over rows 0..k-1, witness x, sign(D' x) over all rows)
+    level = [((), np.zeros(d.n), SignVector.zero(d.p))]
+    for k in range(d.p):
+        grown = []
+        for entries, x, sx in level:
+            J = tuple(i for i, e in enumerate(entries) if e == 0)
+            if cosupport_rank(J + (k,)) == cosupport_rank(J):
+                grown.append((entries + (0,), x, sx))
+                continue
+            grown.append((entries + (sx[k],), x, sx))
+            for e in (1, 0, -1):
+                if e == sx[k] or (e == -1 and not any(entries)):
+                    continue
+                child = entries + (e,)
+                out = lp.solve(_sign_lp(Ds[:k + 1], np.array(child, float)), t)
+                if out.status == lp.INFEASIBLE:
+                    continue
+                grown.append((child, out.x_opt,
+                              sign_of(Ds @ out.x_opt, t.sign_tol)))
+        level = grown
+    feasible: dict[SignVector, np.ndarray] = {}
+    for entries, x, sx in level:
+        if sx.entries != entries:
+            raise RuntimeError("LP witness fails to realize its sign; this is a bug")
+        feasible[sx] = x
+        feasible[-sx] = -x
     if with_witnesses:
         return dict(sorted(feasible.items(), key=lambda kv: kv[0].entries))
     return sorted(feasible, key=lambda s: s.entries)
@@ -321,14 +345,10 @@ def hasse_diagram(d: Dictionary, cap: int = ENUMERATION_CAP,
             dims[s] = d.kernel_dstar.shape[1]
         else:
             dims[s] = face_from_sign(d, s, 1.0, check_feasible=False, tol=t).dim
-    zero = SignVector.zero(d.p)
-    nonzero = [s for s in signs if not s.is_zero()]
-    # minimal nonzero elements: no nonzero strict refinement below them
-    extremal = frozenset(
-        s for s in nonzero
-        if not any(t2 != s and not t2.is_zero() and leq(t2, s) for t2 in nonzero))
+    # the zero sign is always feasible, so the minimal nonzero elements are
+    # exactly the signs that cover it
+    extremal = frozenset(b for a, b in poset.cover_edges if a.is_zero())
     maximal = frozenset(poset.maximal_elements())
-    del zero
     return HasseDiagram(poset=poset, dims=dims, extremal=extremal,
                         maximal=maximal)
 

@@ -82,7 +82,7 @@ def _fmt_vec(v) -> str:
 def _cmd_signs_enumerate(args) -> int:
     d = Dictionary(_load_matrix(args.dict))
     signs = ballgeo.enumerate_feasible_signs(d, cap=args.cap)
-    extremal = [s for s in signs if ballgeo.is_extremal(d, s)]
+    extremal = [s for s in signs if ballgeo.is_pre_extremal(d, s)]
     payload = {"schema": SCHEMA, "n": d.n, "p": d.p,
                "candidates": 3 ** d.p,
                "feasible_count": len(signs),

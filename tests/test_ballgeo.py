@@ -1,7 +1,11 @@
 """Faces of the penalty ball: feasibility, extremality, lattice, DOT export."""
+import graphlib
+import itertools
+
 import numpy as np
 import pytest
 
+from l1geo import lp
 from l1geo.ballgeo import (Dictionary, InfeasibleSignError,
                            brute_force_feasible_signs,
                            enumerate_feasible_signs, face_contains,
@@ -10,7 +14,7 @@ from l1geo.ballgeo import (Dictionary, InfeasibleSignError,
                            minimal_face_of_point, to_dot)
 from l1geo.dictionaries import (complete_graph_edges, difference_dict,
                                 identity_dict, incidence_dict)
-from l1geo.signs import SignVector, sign_of
+from l1geo.signs import SignVector, leq, sign_of
 
 
 def test_dictionary_caches():
@@ -56,6 +60,84 @@ def test_enumeration_cap():
     d = Dictionary(np.ones((1, 13)))
     with pytest.raises(ValueError):
         enumerate_feasible_signs(d)
+
+
+K5_EDGES = complete_graph_edges(5)
+
+
+def _incidence_graphs():
+    """(edges, vertex count, feasible count or None) per test graph."""
+    graphs = [pytest.param(complete_graph_edges(4), 4, 75, id="K4"),
+              pytest.param(K5_EDGES, 5, 541, id="K5")]
+    graphs += [pytest.param(K5_EDGES[:j] + K5_EDGES[j + 1:], 5, 453,
+                            id=f"K5-{j}") for j in range(len(K5_EDGES))]
+    rng = np.random.default_rng(6)
+    k6 = complete_graph_edges(6)
+    for size in (8, 9):
+        pick = sorted(rng.choice(len(k6), size=size, replace=False))
+        edges = [k6[i] if rng.random() < 0.5 else k6[i][::-1] for i in pick]
+        graphs.append(pytest.param(edges, 6, None, id=f"G6-{size}"))
+    return graphs
+
+
+def _graph_sign_feasible(s, edges, n_vertices: int) -> bool:
+    """LP-free criterion for sign(x_u - x_v) = s_e on the edges (u, v).
+
+    Contract the 0 edges into blocks; every nonzero edge must then join two
+    different blocks and orient the quotient graph acyclically.
+    """
+    block = list(range(n_vertices))
+
+    def find(a: int) -> int:
+        while block[a] != a:
+            a = block[a]
+        return a
+
+    for (u, v), e in zip(edges, s):
+        if e == 0:
+            block[find(u)] = find(v)
+    below: dict[int, set[int]] = {}
+    for (u, v), e in zip(edges, s):
+        if e:
+            hi, lo = (find(u), find(v)) if e > 0 else (find(v), find(u))
+            if hi == lo:
+                return False
+            below.setdefault(hi, set()).add(lo)
+    try:
+        graphlib.TopologicalSorter(below).prepare()
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("edges, n_vertices, count", _incidence_graphs())
+def test_incidence_enumeration_matches_graph_criterion(edges, n_vertices,
+                                                       count):
+    d = Dictionary(incidence_dict(edges, n_vertices))
+    wit = enumerate_feasible_signs(d, with_witnesses=True)
+    # itertools.product walks the candidates in lexicographic order
+    expected = [s for s in itertools.product((-1, 0, 1), repeat=len(edges))
+                if _graph_sign_feasible(s, edges, n_vertices)]
+    assert [s.entries for s in wit] == expected
+    if count is not None:
+        assert len(wit) == count
+    for s, x in wit.items():
+        assert sign_of(d.Dstar @ x) == s
+
+
+@pytest.mark.parametrize("edges", [K5_EDGES, K5_EDGES[1:]],
+                         ids=["K5", "K5-0"])
+def test_enumeration_lp_count_scales_with_output(monkeypatch, edges):
+    calls = []
+    solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    signs = enumerate_feasible_signs(Dictionary(incidence_dict(edges, 5)))
+    assert 0 < len(calls) <= 3 * len(signs)
 
 
 def test_extremal_identity2():
@@ -144,6 +226,15 @@ def test_hasse_diagram_identity2():
     assert len(h.poset.cover_edges) == 12
     assert h.dims[SignVector.zero(2)] == 0
     assert {s.to_string() for s in h.extremal} == {"-0", "0-", "0+", "+0"}
+
+
+def test_hasse_extremal_are_minimal_nonzero_signs():
+    h = hasse_diagram(Dictionary(incidence_dict(K5_EDGES[1:], 5)))
+    nonzero = [s for s in h.poset.elements if not s.is_zero()]
+    minimal = {s for s in nonzero
+               if not any(t != s and leq(t, s) for t in nonzero)}
+    assert len(h.extremal) == 28
+    assert h.extremal == minimal
 
 
 def test_to_dot_frozen_and_deterministic(tv3_dict):
