@@ -19,7 +19,8 @@ from .linalg import DEFAULT_TOLS, Tolerances, null_space_basis, rank, span_equal
 from .signs import SignVector, SignPoset, consistent, dual_pairing_max, leq, sign_of
 from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimitError,
                  LinearProgram, LpOutcome, l1_epigraph_rows,
-                 max_linear_over, minimize_l1_over_affine, solve)
+                 max_linear_over, maximize_each, minimize_l1_over_affine,
+                 solve)
 from .dictionaries import (complete_graph_edges, connected_components,
                            difference_dict, fused_lasso_dict, identity_dict,
                            incidence_dict, phi_separates_components)
@@ -48,7 +49,7 @@ __all__ = [
     "sign_of",
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "IterationLimitError",
     "LinearProgram", "LpOutcome", "l1_epigraph_rows", "max_linear_over",
-    "minimize_l1_over_affine", "solve",
+    "maximize_each", "minimize_l1_over_affine", "solve",
     "complete_graph_edges", "connected_components", "difference_dict",
     "fused_lasso_dict", "identity_dict", "incidence_dict",
     "phi_separates_components",

@@ -369,15 +369,15 @@ def probe_directions(d: Dictionary) -> list[np.ndarray]:
     return dirs
 
 
-def _support(region: lp.LinearProgram, w: np.ndarray,
-             tol: Tolerances | None) -> float:
-    wpad = np.concatenate([w, np.zeros(region.n - w.size)])
-    out = lp.max_linear_over(region, wpad, tol)
-    if out.status == lp.OPTIMAL:
-        return float(out.value)
-    if out.status == lp.UNBOUNDED:
-        return math.inf
-    raise ValueError("support function of an empty region")
+def _supports(region: lp.LinearProgram, W: np.ndarray,
+              tol: Tolerances | None) -> list[float]:
+    Wpad = np.hstack([W, np.zeros((W.shape[0], region.n - W.shape[1]))])
+    values = []
+    for out in lp.maximize_each(region, Wpad, tol):
+        if out.status == lp.INFEASIBLE:
+            raise ValueError("support function of an empty region")
+        values.append(math.inf if out.status == lp.UNBOUNDED else float(out.value))
+    return values
 
 
 def support_gap(region_a: lp.LinearProgram, region_b: lp.LinearProgram,
@@ -388,10 +388,9 @@ def support_gap(region_a: lp.LinearProgram, region_b: lp.LinearProgram,
     the shared leading coordinates.  Two unbounded values in the same
     direction agree; one-sided unboundedness yields inf.
     """
+    W = np.vstack([as_vector(w, "direction") for w in directions])
     gap = 0.0
-    for w in directions:
-        ha = _support(region_a, as_vector(w, "direction"), tol)
-        hb = _support(region_b, as_vector(w, "direction"), tol)
+    for ha, hb in zip(_supports(region_a, W, tol), _supports(region_b, W, tol)):
         if math.isinf(ha) and math.isinf(hb):
             continue
         if math.isinf(ha) or math.isinf(hb):

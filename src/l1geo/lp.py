@@ -3,10 +3,18 @@
 Solves   min <c, x>   s.t.   A_eq x = b_eq,  A_le x <= b_le,  x free,
 
 by a two-phase primal simplex on the standard-form split x = u - v with slack
-and artificial variables.  Pivoting uses Bland's anti-cycling rule with
-lowest-index tie breaking, so runs are deterministic.  There is no external
-solver behind this and no fallback: exceeding the iteration cap raises instead
-of returning an approximate answer.
+and artificial variables.  The tableau carries its reduced costs as one more
+row that every pivot updates.  An inequality row with b_i >= 0 starts with its
+slack basic (a slack crash basis), so phase 1 only has to drive out the
+artificials of the other rows.  The entering column has the most negative
+reduced cost, lowest index on ties (Dantzig pricing); the leaving row is the
+largest pivot among the rows within lp_tol of the ratio bound (a Harris-style
+pass).  After a run of degenerate pivots Bland's rule takes over both choices
+until the objective moves again, so runs terminate and are deterministic.
+`maximize_each` shares one phase 1 among many objectives over the same region.
+Every returned point is checked against the original rows.  There is no
+external solver behind this and no fallback: exceeding the iteration cap
+raises instead of returning an approximate answer.
 
 Also hosts the one canonical polyhedral reformulation of l1 constraints
 (`l1_epigraph_rows`) that the solution-set and construction code build their
@@ -14,7 +22,7 @@ regions from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +31,8 @@ from .linalg import DEFAULT_TOLS, Tolerances, as_matrix, as_vector
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+# degenerate pivots in a row after which Bland's rule replaces Dantzig pricing
+_STALL_PIVOTS = 10
 
 
 class IterationLimitError(RuntimeError):
@@ -98,34 +108,42 @@ class LpOutcome:
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    T[r] = T[r] / T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
+    row = T[r] / T[r, j]
+    T -= T[:, j, None] * row
+    T[r] = row
 
 
-def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, eps: float,
-             blocked: np.ndarray, cap: int, count: int) -> tuple[str, int]:
-    """Run primal simplex iterations in place; returns (status, pivot count)."""
-    K = T.shape[1] - 1
+def _simplex(T: np.ndarray, basis: list[int], eps: float, N: int, cap: int,
+             count: int) -> tuple[str, int]:
+    """Run primal simplex pivots in place; returns (status, pivot count).
+
+    Only the first N columns may enter.  The last row of T holds the reduced
+    costs and, in its last entry, minus the objective value; `_pivot` keeps
+    it current like any other row.
+    """
+    d = T[-1, :N]
+    stalled = 0
     while True:
-        if T.shape[0]:
-            zrow = cost - cost[np.asarray(basis, dtype=int)] @ T[:, :K]
-        else:
-            zrow = cost.copy()
-        cands = np.nonzero((zrow < -eps) & ~blocked)[0]
-        if cands.size == 0:
+        if stalled < _STALL_PIVOTS:  # Dantzig: most negative reduced cost
+            j = int(d.argmin())
+        else:  # Bland: lowest index, until the objective moves again
+            j = int(np.argmax(d < -eps))
+        if d[j] >= -eps:
             return OPTIMAL, count
-        j = int(cands[0])  # Bland: lowest index enters
-        col = T[:, j]
-        rows = np.nonzero(col > eps)[0]
+        col = T[:-1, j]
+        # a pivot below eps relative to the column's largest entry is refused
+        rows = np.nonzero(col > eps * max(1.0, col.max(initial=0.0)))[0]
         if rows.size == 0:
             return UNBOUNDED, count
         ratios = T[rows, -1] / col[rows]
-        rmin = float(ratios.min())
-        tied = rows[np.abs(ratios - rmin) <= 1e-12 * (1.0 + abs(rmin))]
-        # Bland again: among ties the row whose basic variable has lowest index
-        r = int(tied[int(np.argmin([basis[i] for i in tied]))])
+        if stalled < _STALL_PIVOTS:  # Harris: largest pivot near the bound
+            tied = rows[ratios <= ((T[rows, -1] + eps) / col[rows]).min()]
+            r = int(tied[np.argmax(col[tied])])
+        else:  # Bland again: the lowest basic index at the minimum ratio
+            rmin = float(ratios.min())
+            tied = rows[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
+            r = int(min(tied, key=basis.__getitem__))
+        stalled = stalled + 1 if T[r, -1] <= eps * col[r] else 0
         _pivot(T, r, j)
         basis[r] = j
         count += 1
@@ -134,103 +152,124 @@ def _simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, eps: float,
                 f"simplex exceeded {cap} pivots; refusing to return an answer")
 
 
-def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpOutcome:
-    """Two-phase simplex solve of the given program."""
-    t = tol or DEFAULT_TOLS
-    eps = t.lp_tol
-    n = lp.n
-    me, ml = lp.A_eq.shape[0], lp.A_le.shape[0]
+def _tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-form rows u(n) | v(n) | slack | artificial | rhs of `lp`, each
+    scaled by sigma = sign(b) so the rhs is nonnegative, above a zero row."""
+    n, me, ml = lp.n, lp.A_eq.shape[0], lp.A_le.shape[0]
     m = me + ml
-    A = np.vstack([lp.A_eq, lp.A_le]) if m else np.zeros((0, n))
     b = np.concatenate([lp.b_eq, lp.b_le])
     sigma = np.where(b < 0.0, -1.0, 1.0)
+    T = np.zeros((m + 1, 2 * n + ml + m + 1))
+    T[:m, :n] = sigma[:, None] * np.vstack([lp.A_eq, lp.A_le])
+    T[:m, n:2 * n] = -T[:m, :n]
+    T[me + np.arange(ml), 2 * n + np.arange(ml)] = sigma[me:]
+    T[:m, 2 * n + ml:-1] = np.eye(m)
+    T[:m, -1] = sigma * b
+    return T, sigma
 
-    # standard-form columns: u(n) | v(n) | slack(ml) | artificial(m) | rhs
-    N = 2 * n + ml
-    K = N + m
-    T = np.zeros((m, K + 1))
-    if m:
-        T[:, :n] = sigma[:, None] * A
-        T[:, n:2 * n] = -sigma[:, None] * A
-        for i in range(ml):
-            T[me + i, 2 * n + i] = sigma[me + i]
-        T[:, N:N + m] = np.eye(m)
-        T[:, -1] = sigma * b
-    basis = list(range(N, N + m))
-    cap = 50 * (K + m)
-    count = 0
 
-    cost1 = np.zeros(K)
-    cost1[N:] = 1.0
-    blocked_none = np.zeros(K, dtype=bool)
-    status1, count = _simplex(T, basis, cost1, eps, blocked_none, cap, count)
-    if status1 != OPTIMAL:  # phase 1 is bounded below by zero
+def _phase1(lp: LinearProgram, eps: float):
+    """A feasible basis (T, basis, pivots, sigma), or an INFEASIBLE outcome."""
+    T, sigma = _tableau(lp)
+    m, me = sigma.size, lp.A_eq.shape[0]
+    N = T.shape[1] - 1 - m
+    # slack crash: an inequality row with b >= 0 starts with its slack basic
+    crash = (np.arange(m) >= me) & (sigma > 0)
+    basis = np.where(crash, N - m + np.arange(m), N + np.arange(m)).tolist()
+    T[-1, N:-1] = 1.0  # phase-1 cost: the sum of the artificials
+    T[-1] -= T[:m][~crash].sum(axis=0)
+    status, count = _simplex(T, basis, eps, N, 50 * (N + 2 * m), 0)
+    if status != OPTIMAL:  # phase 1 is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded; this is a bug")
-    obj1 = float(cost1[np.asarray(basis, int)] @ T[:, -1]) if m else 0.0
-    scale_b = 1.0 + (np.max(np.abs(b)) if m else 0.0)
-    if obj1 > eps * scale_b:
-        zrow1 = cost1 - cost1[np.asarray(basis, int)] @ T[:, :K]
-        y_tab = 1.0 - zrow1[N:N + m]
-        y = sigma * y_tab
-        return LpOutcome(status=INFEASIBLE,
-                         farkas_eq=y[:me], farkas_le=y[me:],
+    if -T[-1, -1] > eps * (1.0 + np.max(np.abs(T[:m, -1]), initial=0.0)):
+        y = sigma * (1.0 - T[-1, N:-1])
+        return LpOutcome(status=INFEASIBLE, farkas_eq=y[:me], farkas_le=y[me:],
                          iterations=count)
-
     # drive leftover artificials out of the basis, dropping redundant rows
-    r = 0
-    while r < len(basis):
+    for r in reversed(range(m)):
         if basis[r] >= N:
-            row = T[r, :N]
-            nz = np.nonzero(np.abs(row) > eps)[0]
-            if nz.size:
-                _pivot(T, r, int(nz[0]))
-                basis[r] = int(nz[0])
-                r += 1
+            j = int(np.argmax(np.abs(T[r, :N])))
+            if abs(T[r, j]) > eps:
+                _pivot(T, r, j)
+                basis[r] = j
             else:
                 T = np.delete(T, r, axis=0)
                 del basis[r]
-        else:
-            r += 1
+    return T, basis, count, sigma
 
-    cost2 = np.zeros(K)
-    cost2[:n] = lp.c
-    cost2[n:2 * n] = -lp.c
-    blocked = np.zeros(K, dtype=bool)
-    blocked[N:] = True
-    status2, count = _simplex(T, basis, cost2, eps, blocked, cap, count)
 
-    z = np.zeros(K)
-    if basis:
-        z[np.asarray(basis, int)] = T[:, -1]
-    x = z[:n] - z[n:2 * n]
-    if status2 == UNBOUNDED:
+def _phase2(lp: LinearProgram, start, c: np.ndarray, tol: Tolerances) -> LpOutcome:
+    """Minimize <c, x> from a feasible basis of `_phase1`, leaving it intact."""
+    T, basis, count, sigma = start
+    T, basis, n, me = T.copy(), list(basis), lp.n, lp.A_eq.shape[0]
+    N = T.shape[1] - 1 - sigma.size
+    T[-1] = 0.0
+    T[-1, :n], T[-1, n:2 * n] = c, -c
+    T[-1] -= T[-1, basis] @ T[:-1]
+    status, count = _simplex(T, basis, tol.lp_tol, N, 50 * (N + 2 * sigma.size),
+                             count)
+    x = _checked_point(lp, T, basis, tol.lp_tol)
+    if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED, x_feasible=x, iterations=count)
+    y = sigma * T[-1, N:-1]  # duals of the original rows (0 on dropped ones)
+    return LpOutcome(status=OPTIMAL, x_opt=x, value=float(c @ x),
+                     dual_eq=y[:me], dual_le=y[me:], iterations=count)
 
-    if len(basis):
-        zrow2 = cost2 - cost2[np.asarray(basis, int)] @ T[:, :K]
-    else:
-        zrow2 = cost2
-    y = sigma * (-zrow2[N:N + m])  # duals of the original rows (0 on dropped ones)
-    return LpOutcome(status=OPTIMAL, x_opt=x, value=float(lp.c @ x),
-                     dual_eq=-y[:me], dual_le=-y[me:], iterations=count)
+
+def _checked_point(lp: LinearProgram, T: np.ndarray, basis: list[int],
+                   eps: float) -> np.ndarray:
+    """The basic solution as x, checked against the original rows of `lp`; on
+    a miss it is solved for once more from the original basis columns."""
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:-1, -1]
+    b = np.concatenate([lp.b_eq, lp.b_le])
+    for retry in (False, True):
+        x = z[:lp.n] - z[lp.n:2 * lp.n]
+        res = max(np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0),
+                  np.max(lp.A_le @ x - lp.b_le, initial=0.0))
+        if res <= eps * (1.0 + np.max(np.abs(b), initial=0.0)):
+            return x
+        if retry:
+            raise RuntimeError(f"simplex point misses its constraints by "
+                               f"{res:.3e}; refusing to return an answer")
+        T0 = _tableau(lp)[0]
+        z[basis] = np.linalg.lstsq(T0[:-1, basis], T0[:-1, -1], rcond=None)[0]
+
+
+def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpOutcome:
+    """Two-phase simplex solve of the given program."""
+    t = tol or DEFAULT_TOLS
+    start = _phase1(lp, t.lp_tol)
+    return start if isinstance(start, LpOutcome) else _phase2(lp, start, lp.c, t)
+
+
+def maximize_each(region: LinearProgram, W,
+                  tol: Tolerances | None = None) -> list[LpOutcome]:
+    """Maximize <w, x> over the feasible set of `region` for every row w of W.
+
+    The region's objective is ignored.  Phase 1 runs once and phase 2 starts
+    from its feasible basis for every row, so each outcome is what a separate
+    solve would return: its value is the maximum, its dual fields belong to
+    the internal minimization and are not exposed, and its iterations include
+    the shared phase-1 pivots.  An infeasible region yields its one infeasible
+    outcome for every row.
+    """
+    t = tol or DEFAULT_TOLS
+    W = as_matrix(W, "W")
+    if W.shape[1] != region.n:
+        raise ValueError("objective length disagrees with the region")
+    start = _phase1(region, t.lp_tol)
+    if isinstance(start, LpOutcome):
+        return [start] * W.shape[0]
+    outs = [_phase2(region, start, -w, t) for w in W]
+    return [replace(o, value=None if o.value is None else -o.value,
+                    dual_eq=None, dual_le=None) for o in outs]
 
 
 def max_linear_over(region: LinearProgram, w,
                     tol: Tolerances | None = None) -> LpOutcome:
-    """Maximize <w, x> over the feasible set of `region` (its objective is ignored).
-
-    Returns an LpOutcome whose value is the maximum; dual fields belong to the
-    internal minimization and are not exposed.
-    """
-    w = as_vector(w, "w")
-    if w.size != region.n:
-        raise ValueError("objective length disagrees with the region")
-    inner = solve(LinearProgram(c=-w, A_eq=region.A_eq, b_eq=region.b_eq,
-                                A_le=region.A_le, b_le=region.b_le), tol)
-    value = None if inner.value is None else -inner.value
-    return LpOutcome(status=inner.status, x_opt=inner.x_opt, value=value,
-                     farkas_eq=inner.farkas_eq, farkas_le=inner.farkas_le,
-                     x_feasible=inner.x_feasible, iterations=inner.iterations)
+    """Maximize <w, x> over the feasible set of `region`; see `maximize_each`."""
+    return maximize_each(region, as_vector(w, "w")[None, :], tol)[0]
 
 
 def l1_epigraph_rows(Dstar, radius: float | None = None

@@ -271,13 +271,14 @@ def maximal_sign(inst: ProblemInstance, x0, certify_tol: float = 1e-6,
     A_eq = np.hstack([inst.Phi, np.zeros((inst.Phi.shape[0], p))])
     region = lp.LinearProgram(c=np.zeros(n + p), A_eq=A_eq, b_eq=inst.Phi @ xv,
                               A_le=A_le, b_le=b_le)
+    W = np.zeros((2 * p, n + p))
+    W[0::2, :n] = d.Dstar
+    W[1::2, :n] = -d.Dstar
+    outs = lp.maximize_each(region, W, t)
     entries = []
     points = []
     for i in range(p):
-        w = np.zeros(n + p)
-        w[:n] = d.Dstar[i]
-        hi = lp.max_linear_over(region, w, t)
-        lo = lp.max_linear_over(region, -w, t)
+        hi, lo = outs[2 * i], outs[2 * i + 1]
         if hi.status != lp.OPTIMAL or lo.status != lp.OPTIMAL:
             raise RuntimeError("support LP over the solution set did not solve")
         hi_val, lo_val = float(hi.value), -float(lo.value)
@@ -431,9 +432,8 @@ def coordinate_bounds(desc: SolutionSetDescription, w,
                       tol: Tolerances | None = None) -> tuple[float, float]:
     """Range of <w, x> over the solution set; infinite when unbounded."""
     t = tol or DEFAULT_TOLS
-    region = desc.region()
-    hi = lp.max_linear_over(region, w, t)
-    lo = lp.max_linear_over(region, -(as_vector(w, "w")), t)
+    w = as_vector(w, "w")
+    hi, lo = lp.maximize_each(desc.region(), np.vstack([w, -w]), t)
     if lp.INFEASIBLE in (hi.status, lo.status):
         raise RuntimeError("solution-set region is empty; the description is broken")
     upper = float(hi.value) if hi.status == lp.OPTIMAL else np.inf

@@ -11,6 +11,7 @@ from l1geo.construct import (AffineSubspace, EmptyIntersectionError,
                              probe_directions, support_gap,
                              verify_construction)
 from l1geo.dictionaries import difference_dict, identity_dict
+from l1geo.lp import minimize_l1_over_affine
 from l1geo.signs import SignVector
 from l1geo.solset import ProblemInstance, describe_solution_set, solve_admm
 
@@ -145,6 +146,27 @@ def test_construct_ball_instance_point_target():
     assert report.passed
     assert len(report.extreme_points) == 1
     assert np.allclose(report.extreme_points[0], [0.75, -0.25], atol=1e-7)
+
+
+def test_construct_ball_instance_gaussian_6x9_regression():
+    """A Gaussian 6x9 ball round trip on which the dual LP of the
+    construction once came back "optimal" off its own constraints (equality
+    residual 1.9e-3, one alpha at -8.9e-4), so `construct` raised "dual
+    combination drifted off the anchor sign".  The affine set is the first
+    draw whose minimizer has cosupport at most 4, drawn as the roundtrip
+    benchmark workload draws it."""
+    rng = np.random.default_rng([304, 2, 17])
+    D = rng.standard_normal((6, 9))
+    for _ in range(100):
+        origin = rng.standard_normal(6)
+        normals = rng.standard_normal((int(rng.integers(2, 4)), 6))
+        radius, xbar = minimize_l1_over_affine(D.T, normals, normals @ origin)
+        if radius > 1e-6 and np.sum(np.abs(D.T @ xbar) <= 1e-8) <= 4:
+            break
+    ci = construct_ball_instance(Dictionary(D),
+                                 AffineSubspace.from_normals(origin, normals),
+                                 radius, 0.5)
+    assert verify_construction(ci).passed
 
 
 def test_verify_construction_catches_corruption(tv3_dict):

@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from l1geo import lp
 from l1geo.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                      l1_epigraph_rows, max_linear_over,
+                      l1_epigraph_rows, max_linear_over, maximize_each,
                       minimize_l1_over_affine, solve)
 
 
@@ -73,6 +74,21 @@ def test_degenerate_lp_terminates():
     assert out.value == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_beale_cycling_example_terminates():
+    # Beale's example cycles under Dantzig pricing without the Bland
+    # fallback; x >= 0 is written as rows
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    A = np.array([[0.25, -60.0, -0.04, 9.0],
+                  [0.5, -90.0, -0.02, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    out = solve(LinearProgram(c=c, A_eq=None, b_eq=None,
+                              A_le=np.vstack([A, -np.eye(4)]),
+                              b_le=np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])))
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(-0.05, abs=1e-12)
+    assert np.allclose(out.x_opt, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+
+
 def _random_lp(rng, n_max=4):
     n = int(rng.integers(1, n_max + 1))
     me = int(rng.integers(0, 2))
@@ -122,6 +138,33 @@ def test_random_bounded_lps_satisfy_kkt():
         dual_value -= prog.b_le @ out.dual_le
         assert dual_value == pytest.approx(out.value, abs=1e-6)
     assert seen_optimal == 60
+
+
+def test_drifted_point_is_recomputed_or_refused(monkeypatch):
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal(4)
+    A_le, b_le = _box(4, x0 - 1.0, x0 + 1.0)
+    prog = LinearProgram(c=rng.standard_normal(4), A_eq=None, b_eq=None,
+                         A_le=A_le, b_le=b_le)
+    exact = solve(prog)
+    pivot = lp._pivot
+
+    def drifting_pivot(T, r, j):  # every pivot leaves rounding error in b
+        pivot(T, r, j)
+        T[:-1, -1] += 1e-6
+
+    monkeypatch.setattr(lp, "_pivot", drifting_pivot)
+    out = solve(prog)
+    assert out.status == OPTIMAL
+    assert np.allclose(out.x_opt, exact.x_opt, rtol=0.0, atol=1e-12)
+    # a basis whose own point violates the rows is refused: x <= 1, x <= 2
+    # with u and the first slack basic gives x = 2
+    two = LinearProgram(c=np.zeros(1), A_eq=None, b_eq=None,
+                        A_le=np.ones((2, 1)), b_le=np.array([1.0, 2.0]))
+    T = lp._tableau(two)[0]
+    T[:-1, -1] = 5.0
+    with pytest.raises(RuntimeError, match="misses its constraints"):
+        lp._checked_point(two, T, [0, 2], 1e-9)
 
 
 def _vertices_by_enumeration(prog):
@@ -189,6 +232,43 @@ def test_max_linear_over():
     assert max_linear_over(half, np.array([1.0, 0.0])).status == UNBOUNDED
 
 
+def test_maximize_each_matches_separate_solves():
+    rng = np.random.default_rng(41)
+    n = 3
+    W = np.vstack([rng.standard_normal((5, n)), -np.abs(rng.standard_normal((3, n))),
+                   np.zeros((1, n))])
+    A_box, b_box = _box(n, -np.ones(n), 2.0 * np.ones(n))
+    extra = rng.standard_normal((3, n))
+    regions = [
+        # a polytope with rows through the origin: every direction is optimal
+        LinearProgram(c=np.zeros(n), A_eq=None, b_eq=None,
+                      A_le=np.vstack([A_box, extra]),
+                      b_le=np.concatenate([b_box, np.zeros(3)])),
+        # the shifted orthant x >= 1: optimal or unbounded
+        LinearProgram(c=np.zeros(n), A_eq=None, b_eq=None,
+                      A_le=-np.eye(n), b_le=-np.ones(n)),
+        # two parallel equalities: infeasible
+        LinearProgram(c=np.zeros(n), A_eq=np.ones((2, n)),
+                      b_eq=np.array([0.0, 1.0]), A_le=A_box, b_le=b_box),
+    ]
+    seen = set()
+    for region in regions:
+        outs = maximize_each(region, W)
+        assert len(outs) == len(W)
+        for w, out in zip(W, outs):
+            ref = solve(LinearProgram(c=-w, A_eq=region.A_eq, b_eq=region.b_eq,
+                                      A_le=region.A_le, b_le=region.b_le))
+            seen.add(ref.status)
+            assert out.status == ref.status
+            assert max_linear_over(region, w).status == ref.status
+            if ref.status == OPTIMAL:
+                assert out.value == pytest.approx(-ref.value, abs=1e-9)
+                assert float(w @ out.x_opt) == pytest.approx(out.value, abs=1e-9)
+            if ref.status == INFEASIBLE:
+                assert np.allclose(out.farkas_eq, ref.farkas_eq)
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
 def test_l1_epigraph_rows_lift():
     Dstar = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     A_lift, b_lift = l1_epigraph_rows(Dstar)
@@ -235,3 +315,77 @@ def test_linear_program_validation():
     with pytest.raises(ValueError):
         LinearProgram(c=np.array([np.nan]), A_eq=None, b_eq=None,
                       A_le=None, b_le=None)
+
+
+def _highs_case(rng):
+    """A random LP with equality and inequality rows over free variables.
+
+    kind 0 boxes a feasible point in (bounded), kind 1 leaves it open
+    (optimal or unbounded), kind 2 adds a row contradicting the sum of the
+    others and kind 3 an equality contradicting a combination of the others
+    (both infeasible).  About a third of the inequalities are tight at the
+    feasible point, so vertices are degenerate.
+    """
+    n = int(rng.integers(2, 6))
+    me, ml = int(rng.integers(0, 3)), int(rng.integers(1, 7))
+    kind = int(rng.integers(4))
+    x0 = rng.standard_normal(n)
+    A_eq, A_le = rng.standard_normal((me, n)), rng.standard_normal((ml, n))
+    b_eq = A_eq @ x0
+    b_le = A_le @ x0 + rng.uniform(0.0, 1.0, ml) * (rng.random(ml) < 0.7)
+    if kind == 0:
+        A_box, b_box = _box(n, x0 - 1.0, x0 + 1.0)
+        A_le, b_le = np.vstack([A_le, A_box]), np.concatenate([b_le, b_box])
+    elif kind == 2:
+        A_le = np.vstack([A_le, -A_le.sum(axis=0)])
+        b_le = np.append(b_le, -b_le.sum() - 0.5)
+    elif kind == 3:
+        mix = rng.standard_normal(me + 1)
+        A_eq = np.vstack([A_eq, rng.standard_normal((1, n))])
+        b_eq = np.append(b_eq, rng.standard_normal())
+        A_eq = np.vstack([A_eq, mix @ A_eq])
+        b_eq = np.append(b_eq, mix @ b_eq + 1.0)
+    return LinearProgram(c=rng.standard_normal(n), A_eq=A_eq, b_eq=b_eq,
+                         A_le=A_le, b_le=b_le)
+
+
+def test_agrees_with_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2024)
+    highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(200):
+        prog = _highs_case(rng)
+        me = prog.A_eq.shape[0]
+        ref = linprog(prog.c, A_ub=prog.A_le, b_ub=prog.b_le,
+                      A_eq=prog.A_eq if me else None,
+                      b_eq=prog.b_eq if me else None,
+                      bounds=(None, None), method="highs")
+        out = solve(prog)
+        assert out.status == highs_status[ref.status], ref.message
+        seen[out.status] += 1
+        scale = 1.0 + np.max(np.abs(np.concatenate([prog.b_eq, prog.b_le])))
+        if out.status == OPTIMAL:
+            x, y_eq, y_le = out.x_opt, out.dual_eq, out.dual_le
+            assert out.value == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+            assert np.allclose(prog.A_eq @ x, prog.b_eq, atol=1e-8 * scale)
+            slack = prog.b_le - prog.A_le @ x
+            assert np.min(slack) >= -1e-8 * scale
+            # the dual conditions of the LpOutcome docstring
+            assert np.allclose(prog.c + prog.A_eq.T @ y_eq + prog.A_le.T @ y_le,
+                               0.0, atol=1e-7)
+            assert np.min(y_le) >= -1e-9
+            assert np.max(np.abs(y_le * slack)) <= 1e-7 * scale
+            assert -(prog.b_eq @ y_eq + prog.b_le @ y_le) == pytest.approx(
+                out.value, abs=1e-7 * (1 + abs(out.value)))
+        elif out.status == INFEASIBLE:
+            f_eq, f_le = out.farkas_eq, out.farkas_le
+            assert np.allclose(prog.A_eq.T @ f_eq + prog.A_le.T @ f_le, 0.0,
+                               atol=1e-8)
+            assert np.all(f_le <= 1e-9)
+            assert prog.b_eq @ f_eq + prog.b_le @ f_le > 1e-9
+        else:
+            x = out.x_feasible
+            assert np.allclose(prog.A_eq @ x, prog.b_eq, atol=1e-8 * scale)
+            assert np.min(prog.b_le - prog.A_le @ x) >= -1e-8 * scale
+    assert min(seen.values()) >= 20, seen

@@ -7,7 +7,7 @@ import pytest
 from l1geo.ballgeo import Dictionary
 from l1geo.dictionaries import identity_dict
 from l1geo.lp import max_linear_over
-from l1geo.signs import SignVector
+from l1geo.signs import SignVector, sign_of
 from l1geo.solset import (ConvergenceError, ProblemInstance,
                           UnboundedSolutionSetError, coordinate_bounds,
                           describe_solution_set, enumerate_extreme_solutions,
@@ -113,6 +113,21 @@ def test_describe_solution_set(bench3d):
     assert out.value == pytest.approx(0.5, abs=1e-8)
     out = max_linear_over(region, np.array([1.0, 0.0, 0.0]))
     assert out.value == pytest.approx(0.0, abs=1e-8)
+
+
+def test_describe_gaussian_30x40_terminates():
+    """A Gaussian (n, p, m) = (30, 40, 15) instance on which the support LPs
+    of `maximal_sign` once ran past the simplex pivot cap.  Drawn from
+    default_rng(0) after a (10, 15) D, a (5, 10) Phi and a 5-vector y."""
+    rng = np.random.default_rng(0)
+    rng.standard_normal((10, 15)), rng.standard_normal((5, 10)), rng.standard_normal(5)
+    inst = ProblemInstance(dictionary=Dictionary(rng.standard_normal((30, 40))),
+                           Phi=rng.standard_normal((15, 30)),
+                           y=rng.standard_normal(15), lam=0.5)
+    x = solve_admm(inst)
+    desc = describe_solution_set(inst, x)
+    assert desc.contains(x) and desc.contains(desc.x_ri)
+    assert sign_of(inst.dictionary.Dstar @ desc.x_ri) == desc.max_sign
 
 
 def test_describe_solution_set_json(bench3d):
