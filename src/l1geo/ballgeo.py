@@ -3,10 +3,12 @@
 The ball B_r = {x : ||D' x||_1 <= r} is a polyhedron whose proper exposed
 faces are in order-preserving bijection with the feasible sign vectors of D':
 the sign patterns s for which some x has sign(D' x) = s.  This module decides
-feasibility by linear programming, decides extremality (vertex classes modulo
-the lineality space Ker D') by a rank test, materializes faces with their
-half-space representation, and assembles the Hasse diagram of the face
-lattice.
+the feasibility of one sign by linear programming (with a Farkas certificate
+when infeasible), enumerates all feasible signs with no LP as the faces of
+the hyperplane arrangement of the rows of D', decides extremality (vertex
+classes modulo the lineality space Ker D') by a rank test, materializes faces
+with their half-space representation, and assembles the Hasse diagram of the
+face lattice.
 """
 from __future__ import annotations
 
@@ -120,27 +122,31 @@ def is_feasible(d: Dictionary, s: SignVector,
 def enumerate_feasible_signs(d: Dictionary, cap: int = ENUMERATION_CAP,
                              tol: Tolerances | None = None,
                              with_witnesses: bool = False):
-    """All feasible sign vectors of D', lexicographically sorted.
+    """All feasible sign vectors of D', lexicographically sorted, by no LP.
 
-    Grows the feasible sign prefixes over rows 0..k-1 of D' one row at a
-    time, each prefix carrying a witness x that realizes it.  Extending a
-    prefix by row k has at most three children:
+    The feasible signs over rows 0..k-1 of D' are the faces of the central
+    arrangement of the hyperplanes {(D' x)_i = 0}, i < k.  They grow one row
+    l = (D')_k at a time (incremental construction, Edelsbrunner, O'Rourke &
+    Seidel 1986), each face F carrying a witness x_F in its relative interior:
 
-    - the sign of (D' x)_k is realized by the parent's witness, so that
-      child costs no LP;
-    - each of the other two costs one LP over rows 0..k;
-    - when row k lies in the span of the prefix's cosupport rows, every
-      point of the prefix's flat has (D' x)_k = 0, so only the 0 child
-      exists.  That is a rank test, cached per cosupport.
+    - if l does not vanish on the lineality space L = Ker D'_{0..k-1} (a rank
+      test), every face splits into +, 0 and -, with the witnesses
+      x_F + (c - l(x_F)) v for c = 1, 0, -1 and v in L with l(v) = 1;
+    - otherwise the closure of F is L + cone(rays of F), the rays being the
+      faces G <= F of dimension dim L + 1, so l takes on F exactly the signs
+      it takes on those rays.  A ray is 0 when l lies in the span of its
+      cosupport rows (a rank test, cached per cosupport), else it has the
+      sign of l at its witness.  The ray witnesses of each sign sum to u+
+      and u- in the closure of F, scaled to l(u+-) = +-1.  Moving x_F along
+      the one opposite to l(x_F) until l = 0 gives the 0 child z, and z + u+,
+      z + u- the other two; relint F + closure F stays in relint F.  Only
+      the children whose sign occurs on a ray exist, or only 0 if none does.
 
-    An infeasible prefix is never extended, since adding rows only adds
-    constraints.  Only prefixes whose first nonzero entry is + are walked;
-    s feasible <=> -s feasible supplies the rest.  Every feasible prefix
-    extends to a feasible sign, so the LP count is at most twice the number
-    of feasible prefixes summed over the rows, and scales with the output
-    rather than with the 3^p candidates.  With `with_witnesses` a dict
-    mapping each sign to a realizing point is returned instead of the plain
-    list.
+    After every row each witness is rescaled so that its smallest support
+    entry |(D' x)_i| is 1, the margin of `is_feasible` witnesses.  Only
+    prefixes whose first nonzero entry is + are walked; s feasible <=> -s
+    feasible supplies the rest.  With `with_witnesses` a dict mapping each
+    sign to a realizing point is returned instead of the plain list.
     """
     t = tol or d.tol
     if d.p > cap:
@@ -153,32 +159,49 @@ def enumerate_feasible_signs(d: Dictionary, cap: int = ENUMERATION_CAP,
             ranks[J] = rank(Ds[list(J)], t)
         return ranks[J]
 
-    # (entries over rows 0..k-1, witness x, sign(D' x) over all rows)
-    level = [((), np.zeros(d.n), SignVector.zero(d.p))]
+    # walked faces over rows 0..k-1: entries, witnesses, cosupport ranks
+    E, X, R = np.zeros((1, 0)), np.zeros((1, d.n)), np.zeros(1, int)
     for k in range(d.p):
-        grown = []
-        for entries, x, sx in level:
-            J = tuple(i for i, e in enumerate(entries) if e == 0)
-            if cosupport_rank(J + (k,)) == cosupport_rank(J):
-                grown.append((entries + (0,), x, sx))
-                continue
-            grown.append((entries + (sx[k],), x, sx))
-            for e in (1, 0, -1):
-                if e == sx[k] or (e == -1 and not any(entries)):
-                    continue
-                child = entries + (e,)
-                out = lp.solve(_sign_lp(Ds[:k + 1], np.array(child, float)), t)
-                if out.status == lp.INFEASIBLE:
-                    continue
-                grown.append((child, out.x_opt,
-                              sign_of(Ds @ out.x_opt, t.sign_tol)))
-        level = grown
+        l, lx, rank_k = Ds[k], X @ Ds[k], cosupport_rank(tuple(range(k)))
+        if cosupport_rank(tuple(range(k + 1))) > rank_k:
+            B = null_space_basis(Ds[:k], t)
+            U = V = np.broadcast_to(B @ (B.T @ l), X.shape)
+        else:
+            # the rays on which l is not 0, and their signs under l
+            G = [g for g in np.flatnonzero(R == rank_k - 1) if cosupport_rank(
+                tuple(np.flatnonzero(E[g] == 0).tolist()) + (k,)) >= rank_k]
+            sig = np.sign(lx[G])[:, None]
+            Ep, Wp = sig * E[G], sig * X[G]  # rays with l > 0, walked or not
+            nnz = np.abs(Ep).sum(1)
+            U, V = np.zeros_like(X), np.zeros_like(X)
+            # chunks hold the faces x rays incidence to 2**18 entries
+            step = max(1, (1 << 18) // max(len(Ep), 1))
+            for a in range(0, len(E), step):
+                M = E[a:a + step] @ Ep.T  # M == nnz(G) exactly when G <= F
+                U[a:a + step] = (M == nnz) @ Wp
+                V[a:a + step] = (M == -nnz) @ Wp
+        lu, lv = U @ l, V @ l
+        has_up, has_down = lu > 0, lv > 0
+        U = U / np.where(has_up, lu, 1.0)[:, None]  # now l(U) = 1, or U = 0
+        V = V / np.where(has_down, lv, 1.0)[:, None]
+        zero = X + (np.maximum(0, -lx)[:, None] * U
+                    - np.maximum(0, lx)[:, None] * V)
+        split = has_up & has_down  # its 0 child gains a cosupport rank
+        # the face L walks no - child; -s supplies it
+        keep = (has_up, has_down & E.any(1), has_up == has_down)
+        E = np.vstack([np.column_stack([E, np.full(len(E), c)])[m]
+                       for c, m in zip((1.0, -1.0, 0.0), keep)])
+        X = np.vstack([w[m] for w, m in zip((zero + U, zero - V, zero), keep)])
+        R = np.concatenate([R[has_up], R[keep[1]], (R + split)[keep[2]]])
+        margin = np.where(E != 0, np.abs(X @ Ds[:k + 1].T), np.inf).min(1)
+        X /= np.where(np.isfinite(margin), margin, 1.0)[:, None]
     feasible: dict[SignVector, np.ndarray] = {}
-    for entries, x, sx in level:
-        if sx.entries != entries:
-            raise RuntimeError("LP witness fails to realize its sign; this is a bug")
-        feasible[sx] = x
-        feasible[-sx] = -x
+    for entries, x in zip(E.astype(int).tolist(), X):
+        s = SignVector(tuple(entries))
+        if sign_of(Ds @ x, t.sign_tol) != s:
+            raise RuntimeError("witness fails to realize its sign; this is a bug")
+        feasible[s] = x
+        feasible[-s] = -x
     if with_witnesses:
         return dict(sorted(feasible.items(), key=lambda kv: kv[0].entries))
     return sorted(feasible, key=lambda s: s.entries)
@@ -382,7 +405,7 @@ def to_dot(h: HasseDiagram) -> str:
 def brute_force_feasible_signs(d: Dictionary, samples_per_stratum: int = 200,
                                seed: int = 0, cap: int = 10,
                                tol: Tolerances | None = None) -> list[SignVector]:
-    """Randomized oracle for the feasible-sign set, independent of the LP path.
+    """Sampling oracle for the feasible signs, independent of the enumeration.
 
     For every cosupport candidate J it draws points of Ker D'_J and records
     the observed sign of D'x; each draw is additionally probed at a few small

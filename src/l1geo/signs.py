@@ -119,10 +119,13 @@ def dual_pairing_max(theta, sign_tol: float = DEFAULT_TOLS.sign_tol) -> PairingM
 
 
 def _leq_matrix(arr: np.ndarray) -> np.ndarray:
-    """Boolean matrix R with R[a, b] = (sign a) <= (sign b), vectorized."""
-    A = arr[:, None, :]
-    B = arr[None, :, :]
-    return np.all((A == 0) | (A == B), axis=2)
+    """Boolean matrix R with R[a, b] = (sign a) <= (sign b), vectorized.
+
+    <a, b> counts the nonzero entries of a that b matches minus those it
+    opposes, so it equals |supp a| exactly when a <= b.
+    """
+    A = arr.astype(np.float32)
+    return A @ A.T == np.abs(A).sum(axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,11 @@ def poset_cover_edges(signs: Iterable[SignVector]) -> SignPoset:
     arr = np.array([s.entries for s in elems], dtype=np.int8)
     R = _leq_matrix(arr)
     strict = R & ~np.eye(len(elems), dtype=bool)
-    # covers = strict pairs not realized through an intermediate element
-    through = (strict.astype(np.int32) @ strict.astype(np.int32)) > 0
-    cover = strict & ~through
-    edges = tuple(
-        (elems[i], elems[j]) for i, j in np.argwhere(cover) if True
-    )
+    # covers = strict pairs not realized through an intermediate element.
+    # float32 runs on BLAS where integer matmul does not; its sums here are
+    # exact below 2**24 terms, and a sum of ones never rounds to 0 anyway
+    s32 = strict.astype(np.float32)
+    cover = strict & ~((s32 @ s32) > 0)
+    edges = tuple((elems[i], elems[j]) for i, j in np.argwhere(cover))
     edges = tuple(sorted(edges, key=lambda e: (e[0].entries, e[1].entries)))
     return SignPoset(tuple(elems), edges)

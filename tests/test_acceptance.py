@@ -136,7 +136,7 @@ def test_criterion_5_identity_counts(n):
     assert len(extremal) == 2 * n
 
 
-@pytest.mark.criterion(6, "LP enumeration contains the sampling oracle; "
+@pytest.mark.criterion(6, "enumeration contains the sampling oracle; "
                           "equal on >= 95 of 100 random dictionaries")
 def test_criterion_6_oracle_equivalence(random_dicts, random_enumerations):
     equal = 0

@@ -1,9 +1,12 @@
 """Faces of the penalty ball: feasibility, extremality, lattice, DOT export."""
 import graphlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1geo import lp
 from l1geo.ballgeo import (Dictionary, InfeasibleSignError,
@@ -128,6 +131,7 @@ def test_incidence_enumeration_matches_graph_criterion(edges, n_vertices,
 @pytest.mark.parametrize("edges", [K5_EDGES, K5_EDGES[1:]],
                          ids=["K5", "K5-0"])
 def test_enumeration_lp_count_scales_with_output(monkeypatch, edges):
+    # the walk reads every child off the rays of the prefix arrangement
     calls = []
     solve = lp.solve
 
@@ -137,7 +141,93 @@ def test_enumeration_lp_count_scales_with_output(monkeypatch, edges):
 
     monkeypatch.setattr(lp, "solve", counting_solve)
     signs = enumerate_feasible_signs(Dictionary(incidence_dict(edges, 5)))
-    assert 0 < len(calls) <= 3 * len(signs)
+    assert signs and not calls
+
+
+def _degenerate_dict() -> np.ndarray:
+    """4x8 dictionary with a zero, a repeated and a dependent column."""
+    A = np.random.default_rng(12).standard_normal((4, 4))
+    return np.column_stack([A[:, 0], np.zeros(4), A[:, 1], A[:, 0], A[:, 2],
+                            A[:, 1] - 2 * A[:, 2], A[:, 3], -A[:, 3]])
+
+
+@pytest.mark.parametrize("D", [
+    np.random.default_rng(21).standard_normal((3, 6)),
+    np.random.default_rng(22).standard_normal((4, 7)),
+    np.random.default_rng(23).integers(-2, 3, size=(4, 7)).astype(float),
+    _degenerate_dict()], ids=["gauss3x6", "gauss4x7", "int4x7", "degenerate"])
+def test_enumeration_matches_lp_oracle(D):
+    d = Dictionary(D)
+    expected = [s for s in map(SignVector,
+                               itertools.product((-1, 0, 1), repeat=d.p))
+                if is_feasible(d, s).feasible]
+    assert enumerate_feasible_signs(d) == expected
+
+
+def test_enumeration_witnesses_have_unit_margins():
+    d = Dictionary(np.random.default_rng(5).standard_normal((5, 10)))
+    wit = enumerate_feasible_signs(d, with_witnesses=True)
+    assert len(wit) > 1000
+    for s, x in wit.items():
+        assert sign_of(d.Dstar @ x) == s
+        if not s.is_zero():
+            # unit margin, up to the rounding of the final rescale
+            margin = np.min(np.abs(d.Dstar @ x)[list(s.support)])
+            assert margin >= 1 - 1e-12
+
+
+def _generic_face_count(m: int, n: int) -> int:
+    """Faces of m >= n central hyperplanes in general position in R^n.
+
+    The flat of k < n of them carries the regions of the other m - k, a
+    generic central arrangement in R^(n-k) with 2 sum_{i<n-k} C(m-k-1, i)
+    regions; the origin is one more face.
+    """
+    return 1 + sum(math.comb(m, k) * 2 * sum(math.comb(m - k - 1, i)
+                                             for i in range(n - k))
+                   for k in range(n))
+
+
+def test_enumeration_where_the_sign_lp_raises():
+    # is_feasible raises "phase-1 simplex reported unbounded" on the signs
+    # 0+--00-++0 and 0+--0+-++0 of this dictionary, and so did the LP walk
+    d = Dictionary(np.random.default_rng(8).standard_normal((6, 10)))
+    assert len(enumerate_feasible_signs(d)) == _generic_face_count(10, 6)
+
+
+_gauss = st.builds(lambda seed, n, p: np.random.default_rng(seed)
+                   .standard_normal((n, p)),
+                   st.integers(0, 2**32 - 1), st.integers(1, 4),
+                   st.integers(1, 7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gauss, st.randoms(use_true_random=False))
+def test_enumeration_permutes_with_columns(D, random):
+    perm = list(range(D.shape[1]))
+    random.shuffle(perm)
+    base = enumerate_feasible_signs(Dictionary(D))
+    moved = enumerate_feasible_signs(Dictionary(D[:, perm]))
+    assert set(moved) == {SignVector(tuple(s[i] for i in perm)) for s in base}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gauss, st.lists(st.sampled_from((-1.0, 1.0)), min_size=7,
+                        max_size=7))
+def test_enumeration_flips_with_atoms(D, flips):
+    f = np.array(flips[:D.shape[1]])
+    base = enumerate_feasible_signs(Dictionary(D))
+    flipped = enumerate_feasible_signs(Dictionary(D * f))
+    assert set(flipped) == {SignVector(tuple(int(e) for e in s.as_array() * f))
+                            for s in base}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gauss, st.floats(-4, 4))
+def test_enumeration_is_scale_invariant(D, log_c):
+    c = 10.0 ** log_c
+    assert (enumerate_feasible_signs(Dictionary(c * D))
+            == enumerate_feasible_signs(Dictionary(D)))
 
 
 def test_extremal_identity2():

@@ -117,6 +117,17 @@ def test_poset_cover_edges_skips_transitive_pairs():
     assert edges == {("00", "+0"), ("+0", "++")}
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=4,
+                         max_size=4), max_size=30))
+def test_poset_cover_edges_match_leq(rows):
+    signs = {SignVector(tuple(r)) for r in rows}
+    less = {(s, t) for s in signs for t in signs if s != t and leq(s, t)}
+    covers = {(s, t) for s, t in less
+              if not any((s, u) in less and (u, t) in less for u in signs)}
+    assert set(poset_cover_edges(signs).cover_edges) == covers
+
+
 def test_poset_cover_edges_empty_and_mixed_length():
     assert poset_cover_edges([]).elements == ()
     with pytest.raises(ValueError):
